@@ -26,7 +26,7 @@
 // the consistent-hash fan-out spreads users.
 //
 //   bench_serving [--scale=0.15] [--connections=8] [--requests=5000]
-//                 [--qps=0] [--max_batch=64] [--max_delay_us=1000]
+//                 [--qps=0] [--max_batch=64]
 //                 [--store_mult=100] [--routed_shards=4]
 //                 [--out=BENCH_serving.json]
 
@@ -129,7 +129,6 @@ int main(int argc, char** argv) {
   flags.AddInt("requests", 5000, "total requests across all connections");
   flags.AddDouble("qps", 0.0, "target aggregate rate (0 = closed-loop max)");
   flags.AddInt("max_batch", 64, "server: max expanded pairs per batch");
-  flags.AddInt("max_delay_us", 1000, "server: batching linger");
   flags.AddInt("queue_cap", 1024, "server: admission queue bound");
   flags.AddInt("store_mult", 100,
                "catalog multiplier for the big store-backed leg (0 = skip)");
@@ -160,7 +159,6 @@ int main(int argc, char** argv) {
   server_options.model_prefix = prefix;
   server_options.port = 0;  // Ephemeral.
   server_options.batcher.max_batch = flags.GetInt("max_batch");
-  server_options.batcher.max_delay_us = flags.GetInt("max_delay_us");
   server_options.batcher.queue_capacity = flags.GetInt("queue_cap");
   std::printf("serving %lld users x %lld items\n",
               static_cast<long long>(bundle.train.num_users()),
@@ -305,7 +303,6 @@ int main(int argc, char** argv) {
       "  \"requests\": %lld,\n"
       "  \"target_qps\": %.1f,\n"
       "  \"max_batch\": %lld,\n"
-      "  \"max_delay_us\": %lld,\n"
       "  \"seconds\": %.3f,\n"
       "  \"qps\": %.1f,\n"
       "  \"scored\": %lld,\n"
@@ -328,8 +325,7 @@ int main(int argc, char** argv) {
       flags.GetString("dataset").c_str(), opts.scale,
       static_cast<long long>(load.connections),
       static_cast<long long>(load.total_requests), load.target_qps,
-      static_cast<long long>(server_options.batcher.max_batch),
-      static_cast<long long>(server_options.batcher.max_delay_us), r.seconds,
+      static_cast<long long>(server_options.batcher.max_batch), r.seconds,
       r.qps, static_cast<long long>(r.scored),
       static_cast<long long>(r.overloaded),
       static_cast<long long>(r.errors), JsonHistogram(r.latency_us).c_str(),
@@ -361,10 +357,12 @@ int main(int argc, char** argv) {
           if (!legs.empty()) legs += ", ";
           legs += common::StrFormat(
               "{\"shards\": %d, \"qps\": %.1f, "
+              "\"qps_per_connection\": %.1f, "
               "\"overhead_pct_vs_direct\": %.2f, \"latency_us\": %s, "
               "\"retries\": %lld, \"failovers\": %lld, "
               "\"upstream_errors\": %lld}",
               leg.shards, leg.report.qps,
+              leg.report.qps / static_cast<double>(load.connections),
               r.qps > 0.0 ? (r.qps - leg.report.qps) / r.qps * 100.0 : 0.0,
               JsonHistogram(leg.report.latency_us).c_str(),
               static_cast<long long>(leg.router_stats.retries),

@@ -50,7 +50,6 @@ MicroBatcher::MicroBatcher(std::unique_ptr<core::RrreTrainer> trainer,
       << "pass a pre-mapped TowerStore iff store_path is set";
   RRRE_CHECK_GE(options_.max_batch, 1);
   RRRE_CHECK_GE(options_.queue_capacity, 1);
-  RRRE_CHECK_GE(options_.max_delay_us, 0);
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry* m = options_.metrics;
     m_submitted_ = m->GetCounter("rrre_batcher_submitted_total",
@@ -59,6 +58,10 @@ MicroBatcher::MicroBatcher(std::unique_ptr<core::RrreTrainer> trainer,
                                 "requests refused by admission control");
     m_batches_ =
         m->GetCounter("rrre_batcher_batches_total", "Score calls executed");
+    m_batches_full_ = m->GetCounter("rrre_batcher_batches_full_total",
+                                    "batches closed by the max_batch bound");
+    m_batches_drained_ = m->GetCounter("rrre_batcher_batches_drained_total",
+                                       "batches that emptied the queue");
     m_pairs_scored_ = m->GetCounter("rrre_batcher_pairs_scored_total",
                                     "expanded pairs across all batches");
     m_reloads_ = m->GetCounter("rrre_batcher_reloads_total",
@@ -71,6 +74,9 @@ MicroBatcher::MicroBatcher(std::unique_ptr<core::RrreTrainer> trainer,
                                      "expanded pairs per executed batch");
     m_batch_latency_us_ = m->GetHistogram(
         "rrre_batcher_batch_latency_us", "per-batch Score latency");
+    m_queue_wait_us_ = m->GetHistogram(
+        "rrre_batcher_queue_wait_us",
+        "per-request wait from admission to the start of its batch");
     m_user_cache_hits_ = m->GetCounter("rrre_scorer_user_cache_hits_total",
                                        "user tower-cache hits");
     m_user_cache_misses_ = m->GetCounter(
@@ -99,6 +105,8 @@ MicroBatcher::MicroBatcher(std::unique_ptr<core::RrreTrainer> trainer,
 MicroBatcher::~MicroBatcher() { Stop(); }
 
 bool MicroBatcher::TrySubmit(int64_t user, int64_t item, DoneFn done) {
+  const Clock::time_point admitted =
+      m_queue_wait_us_ != nullptr ? Clock::now() : Clock::time_point();
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_ ||
       static_cast<int64_t>(queue_.size()) >= options_.queue_capacity) {
@@ -106,7 +114,7 @@ bool MicroBatcher::TrySubmit(int64_t user, int64_t item, DoneFn done) {
     Inc(m_rejected_);
     return false;
   }
-  queue_.push_back(WorkItem{user, item, std::move(done)});
+  queue_.push_back(WorkItem{user, item, std::move(done), admitted});
   ++stats_.submitted;
   Inc(m_submitted_);
   GaugeAdd(m_queue_depth_, 1);
@@ -181,41 +189,42 @@ void MicroBatcher::ScorerLoop() {
       if (stopping_) break;  // Stop() drains the queue before exiting.
       continue;
     }
-    // Form a batch: take what is queued, then linger up to max_delay_us for
-    // more until max_batch expanded pairs are gathered. A catalog request
-    // counts as num_items pairs (it is always taken when first, so a catalog
-    // larger than max_batch still runs — as its own batch).
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(options_.max_delay_us);
+    // Form a batch, work-conserving: the scorer is free, so take what is
+    // queued — up to max_batch expanded pairs — and run it now; never wait
+    // for more. A catalog request counts as num_items pairs (it is always
+    // taken when first, so a catalog larger than max_batch still runs — as
+    // its own batch).
     std::vector<WorkItem> batch;
     int64_t pair_count = 0;
     const int64_t catalog_pairs = num_items_.load();
-    for (;;) {
-      while (!queue_.empty() && pair_count < options_.max_batch) {
-        const int64_t weight =
-            queue_.front().item == kCatalogItem ? catalog_pairs : 1;
-        if (!batch.empty() && pair_count + weight > options_.max_batch) break;
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        GaugeAdd(m_queue_depth_, -1);
-        pair_count += weight;
-      }
-      if (pair_count >= options_.max_batch || stopping_) break;
-      if (!queue_.empty()) break;  // Next request does not fit this batch.
-      if (work_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-        break;  // Linger expired: ship what we have.
-      }
+    while (!queue_.empty() && pair_count < options_.max_batch) {
+      const int64_t weight =
+          queue_.front().item == kCatalogItem ? catalog_pairs : 1;
+      if (!batch.empty() && pair_count + weight > options_.max_batch) break;
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+      pair_count += weight;
     }
+    GaugeAdd(m_queue_depth_, -static_cast<int64_t>(batch.size()));
+    const bool full = pair_count >= options_.max_batch || !queue_.empty();
     executing_ = true;
     lock.unlock();
-    ExecuteBatch(std::move(batch));
+    if (m_queue_wait_us_ != nullptr) {
+      const Clock::time_point start = Clock::now();
+      for (const WorkItem& w : batch) {
+        m_queue_wait_us_->Record(
+            std::chrono::duration<double, std::micro>(start - w.admitted)
+                .count());
+      }
+    }
+    ExecuteBatch(std::move(batch), full);
     lock.lock();
     executing_ = false;
     done_cv_.notify_all();
   }
 }
 
-void MicroBatcher::ExecuteBatch(std::vector<WorkItem> batch) {
+void MicroBatcher::ExecuteBatch(std::vector<WorkItem> batch, bool full) {
   // Validate against the *current* snapshot: a reload may have shrunk the
   // corpus after admission validated these ids.
   const int64_t num_users = num_users_.load();
@@ -271,6 +280,7 @@ void MicroBatcher::ExecuteBatch(std::vector<WorkItem> batch) {
       stats_.batch_latency_us.Record(elapsed_us);
     }
     Inc(m_batches_);
+    Inc(full ? m_batches_full_ : m_batches_drained_);
     Inc(m_pairs_scored_, static_cast<int64_t>(pairs.size()));
     if (m_batch_pairs_ != nullptr) {
       m_batch_pairs_->Record(static_cast<double>(pairs.size()));

@@ -2,6 +2,7 @@
 #define RRRE_SERVE_BATCHER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -23,11 +24,12 @@ namespace rrre::serve {
 /// Dynamic micro-batching scheduler in front of the tower-cached BatchScorer.
 ///
 /// Producers (connection threads) enqueue single (user, item) requests with
-/// TrySubmit; a dedicated scorer thread collects them into batches — up to
-/// `max_batch` expanded pairs, or whatever arrived within `max_delay_us` of
-/// the first queued request, whichever comes first — and runs one
-/// BatchScorer::Score per batch. Batching across connections is what turns
-/// many tiny per-request model calls into a few dense ones.
+/// TrySubmit; a dedicated scorer thread runs one BatchScorer::Score per
+/// batch. The policy is work-conserving: whenever the scorer is free and the
+/// queue is not empty, it takes what is queued — up to `max_batch` expanded
+/// pairs — and runs it at once, never waiting for more. Batches grow by
+/// themselves while the previous batch executes, so a lone request on an
+/// idle server ships alone and a busy server batches densely.
 ///
 /// Admission control: the request queue is bounded by `queue_capacity`;
 /// TrySubmit returns false instead of blocking or growing without bound, and
@@ -47,7 +49,6 @@ class MicroBatcher {
  public:
   struct Options {
     int64_t max_batch = 64;        ///< Expanded pairs per batch (>= 1).
-    int64_t max_delay_us = 1000;   ///< Linger after the first queued request.
     int64_t queue_capacity = 1024; ///< Admission bound, in queued requests.
     /// LRU bound on the BatchScorer tower caches (profiles per tower);
     /// 0 = unbounded. A long-lived server wants a bound — the caches
@@ -162,10 +163,15 @@ class MicroBatcher {
   bool store_backed() const { return !options_.store_path.empty(); }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct WorkItem {
     int64_t user;
     int64_t item;  ///< kCatalogItem = whole catalog.
     DoneFn done;
+    /// Admission time; read only when a metrics registry is attached (the
+    /// queue-wait histogram is its only consumer).
+    Clock::time_point admitted;
   };
   struct ReloadRequest {
     std::string prefix;
@@ -173,8 +179,10 @@ class MicroBatcher {
   };
 
   void ScorerLoop();
-  /// Executes one batch outside the lock; invokes callbacks.
-  void ExecuteBatch(std::vector<WorkItem> batch);
+  /// Executes one batch outside the lock; invokes callbacks. `full` says
+  /// whether the max_batch bound closed it (it reached max_batch pairs, or
+  /// the next queued request did not fit) rather than an empty queue.
+  void ExecuteBatch(std::vector<WorkItem> batch, bool full);
   void DoReload(ReloadRequest request);
   /// Builds a scorer over the current trainer with the configured cache cap.
   std::unique_ptr<core::BatchScorer> MakeScorer();
@@ -196,12 +204,15 @@ class MicroBatcher {
   obs::Counter* m_submitted_ = nullptr;
   obs::Counter* m_rejected_ = nullptr;
   obs::Counter* m_batches_ = nullptr;
+  obs::Counter* m_batches_full_ = nullptr;
+  obs::Counter* m_batches_drained_ = nullptr;
   obs::Counter* m_pairs_scored_ = nullptr;
   obs::Counter* m_reloads_ = nullptr;
   obs::Gauge* m_queue_depth_ = nullptr;
   obs::Gauge* m_generation_ = nullptr;
   obs::HistogramMetric* m_batch_pairs_ = nullptr;
   obs::HistogramMetric* m_batch_latency_us_ = nullptr;
+  obs::HistogramMetric* m_queue_wait_us_ = nullptr;
   obs::Counter* m_user_cache_hits_ = nullptr;
   obs::Counter* m_user_cache_misses_ = nullptr;
   obs::Counter* m_user_cache_evictions_ = nullptr;

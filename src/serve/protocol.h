@@ -33,8 +33,10 @@ namespace rrre::serve {
 ///   QUIT    -> "#bye", then the server closes the connection
 ///
 /// Errors are one line: "!ERR \t code \t message" with codes `parse`,
-/// `range`, `overload`, `reload`, `shutdown`, `busy`. An overloaded server
-/// answers `!ERR overload` immediately instead of queueing unboundedly.
+/// `range`, `overload`, `reload`, `shutdown`, `busy`, `nonfinite` (the model
+/// scored NaN or infinity; a catalog with any such row is answered by that
+/// one line). An overloaded server answers `!ERR overload` immediately
+/// instead of queueing unboundedly.
 struct Request {
   enum class Type {
     kBlank,    ///< Empty line or comment — no response.

@@ -1,5 +1,7 @@
 #include "serve/server.h"
 
+#include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <utility>
@@ -19,6 +21,16 @@ namespace {
 
 inline void Inc(obs::Counter* counter) {
   if (counter != nullptr) counter->Increment();
+}
+
+/// The first result with a non-finite rating or reliability, or null. Such a
+/// score is answered as an error, never printed as `nan`/`inf`.
+const MicroBatcher::ScoredPair* FirstNonFinite(
+    const std::vector<MicroBatcher::ScoredPair>& results) {
+  for (const auto& r : results) {
+    if (!std::isfinite(r.rating) || !std::isfinite(r.reliability)) return &r;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -60,14 +72,17 @@ class Server::Connection
 
  private:
   /// A response slot in the per-connection FIFO. `ready` flips exactly once,
-  /// under mu_.
+  /// under mu_. `scored` marks a slot the batcher answers: only writes that
+  /// carry one are timed, so a METRICS scrape never moves what it reports.
   struct Pending {
     bool ready = false;
+    bool scored = false;
     std::string payload;
   };
 
-  std::shared_ptr<Pending> PushPending() {
+  std::shared_ptr<Pending> PushPending(bool scored) {
     auto pending = std::make_shared<Pending>();
+    pending->scored = scored;
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(pending);
     return pending;
@@ -135,7 +150,7 @@ class Server::Connection
         PushReady(FormatBye());
         return false;
       case Request::Type::kReload: {
-        auto pending = PushPending();
+        auto pending = PushPending(/*scored=*/false);
         auto self = shared_from_this();
         server_->batcher_->RequestReload(
             server_->options_.model_prefix,
@@ -183,7 +198,7 @@ class Server::Connection
                        std::to_string(num_items) + ")"));
       return;
     }
-    auto pending = PushPending();
+    auto pending = PushPending(/*scored=*/true);
     auto self = shared_from_this();
     const int64_t user = req.user;
     const bool accepted = server_->batcher_->TrySubmit(
@@ -195,6 +210,18 @@ class Server::Connection
             self->server_->range_errors_.fetch_add(1);
             Inc(self->server_->m_range_errors_);
             self->Fulfill(pending, FormatError("range", status.message()));
+            return;
+          }
+          // One bad row poisons a catalog whole: the client gets a single
+          // error line, as for any other per-request failure.
+          if (const auto* bad = FirstNonFinite(results)) {
+            Inc(self->server_->m_nonfinite_);
+            self->Fulfill(pending,
+                          FormatError("nonfinite",
+                                      "non-finite score for user " +
+                                          std::to_string(bad->user) +
+                                          ", item " +
+                                          std::to_string(bad->item)));
             return;
           }
           std::string out;
@@ -217,6 +244,8 @@ class Server::Connection
 
   void WriterLoop() {
     bool send_failed = false;
+    std::vector<std::string> ready;
+    std::string wire;
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       cv_.wait(lock, [&] {
@@ -224,12 +253,33 @@ class Server::Connection
                (reader_done_ && queue_.empty());
       });
       if (queue_.empty()) break;
-      std::string payload = std::move(queue_.front()->payload);
-      queue_.pop_front();
+      // Take every ready slot at the head of the FIFO and send them with one
+      // SendAll; the payload is assembled outside the lock.
+      bool scored = false;
+      while (!queue_.empty() && queue_.front()->ready) {
+        scored |= queue_.front()->scored;
+        ready.push_back(std::move(queue_.front()->payload));
+        queue_.pop_front();
+      }
       lock.unlock();
       // After a send failure (peer hung up) keep consuming so every pending
       // callback still finds its slot, but stop writing.
-      if (!send_failed && !socket_.SendAll(payload).ok()) send_failed = true;
+      if (!send_failed) {
+        wire.clear();
+        for (const std::string& payload : ready) wire += payload;
+        obs::HistogramMetric* write_us =
+            scored ? server_->m_write_us_ : nullptr;
+        const auto start = write_us != nullptr
+                               ? std::chrono::steady_clock::now()
+                               : std::chrono::steady_clock::time_point();
+        send_failed = !socket_.SendAll(wire).ok();
+        if (write_us != nullptr) {
+          write_us->Record(std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+        }
+      }
+      ready.clear();
       lock.lock();
     }
     lock.unlock();
@@ -296,6 +346,12 @@ Server::Server(const ServerOptions& options,
                                            "malformed request lines");
     m_range_errors_ = metrics_->GetCounter("rrre_serve_range_errors_total",
                                            "requests with out-of-range ids");
+    m_nonfinite_ = metrics_->GetCounter(
+        "rrre_serve_nonfinite_total",
+        "score requests answered !ERR nonfinite (a NaN or infinite score)");
+    m_write_us_ = metrics_->GetHistogram(
+        "rrre_serve_write_us",
+        "latency of each response write carrying a scored answer");
     m_overloads_ = metrics_->GetCounter(
         "rrre_serve_overloads_total", "requests refused by admission control");
     m_connections_accepted_ = metrics_->GetCounter(

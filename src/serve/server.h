@@ -122,11 +122,13 @@ class Server {
   obs::Counter* m_requests_ = nullptr;        ///< Score requests only.
   obs::Counter* m_parse_errors_ = nullptr;
   obs::Counter* m_range_errors_ = nullptr;
+  obs::Counter* m_nonfinite_ = nullptr;
   obs::Counter* m_overloads_ = nullptr;
   obs::Counter* m_connections_accepted_ = nullptr;
   obs::Counter* m_connections_rejected_ = nullptr;
   obs::Counter* m_read_timeouts_ = nullptr;
   obs::Gauge* m_connections_active_ = nullptr;
+  obs::HistogramMetric* m_write_us_ = nullptr;  ///< Scored-response writes.
   std::unique_ptr<MicroBatcher> batcher_;
   common::Socket listener_;
 

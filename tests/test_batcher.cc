@@ -23,6 +23,7 @@
 #include "core/scorer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 
 namespace rrre::serve {
@@ -146,7 +147,6 @@ std::string* MicroBatcherTest::prefix_ = nullptr;
 TEST_F(MicroBatcherTest, ScoresMatchReferenceScorer) {
   MicroBatcher::Options options;
   options.max_batch = 16;
-  options.max_delay_us = 500;
   MicroBatcher batcher(LoadTrainer(), options);
 
   std::vector<std::pair<int64_t, int64_t>> pairs;
@@ -190,7 +190,6 @@ TEST_F(MicroBatcherTest, ScoresMatchReferenceScorer) {
 TEST_F(MicroBatcherTest, ConcurrentSubmittersAllComplete) {
   MicroBatcher::Options options;
   options.max_batch = 8;
-  options.max_delay_us = 200;
   MicroBatcher batcher(LoadTrainer(), options);
 
   constexpr int kThreads = 4;
@@ -277,6 +276,74 @@ TEST_F(MicroBatcherTest, AdmissionControlRejectsWhenQueueFull) {
   ASSERT_TRUE(completions.WaitFor(4));
   for (size_t i = 0; i < 4; ++i) EXPECT_TRUE(completions.slot(i).status.ok());
   EXPECT_EQ(batcher.stats().pairs_scored, 4);
+}
+
+TEST_F(MicroBatcherTest, BacklogShipsAsFullBatchesThenOneDrainedBatch) {
+  // Work-conserving policy: a free scorer takes up to max_batch pairs of
+  // what is queued and runs it at once. A backlog of 2*max_batch+1 single
+  // pairs therefore runs as two full batches and one batch that empties the
+  // queue — counted, not timed.
+  constexpr int64_t kMaxBatch = 4;
+  obs::MetricsRegistry registry;
+  MicroBatcher::Options options;
+  options.max_batch = kMaxBatch;
+  options.start_paused = true;
+  options.metrics = &registry;
+  MicroBatcher batcher(LoadTrainer(), options);
+
+  constexpr int64_t kRequests = 2 * kMaxBatch + 1;
+  Completions completions;
+  for (int64_t i = 0; i < kRequests; ++i) {
+    const size_t index = static_cast<size_t>(i);
+    ASSERT_TRUE(batcher.TrySubmit(
+        i % corpus_->num_users(), i % corpus_->num_items(),
+        [&completions, index](const Status& status,
+                              const std::vector<MicroBatcher::ScoredPair>& r) {
+          completions.Add(index, status, r);
+        }));
+  }
+  batcher.Resume();
+  ASSERT_TRUE(completions.WaitFor(kRequests));
+  batcher.Drain();
+
+  const MicroBatcher::Stats stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 3);
+  EXPECT_EQ(stats.pairs_scored, kRequests);
+  EXPECT_EQ(stats.batch_pairs.Max(), kMaxBatch);
+  EXPECT_EQ(stats.batch_pairs.Min(), 1);
+  EXPECT_EQ(registry.GetCounter("rrre_batcher_batches_full_total")->Value(), 2);
+  EXPECT_EQ(
+      registry.GetCounter("rrre_batcher_batches_drained_total")->Value(), 1);
+  // One queue-wait sample per request, admission to batch start.
+  EXPECT_EQ(registry.GetHistogram("rrre_batcher_queue_wait_us")
+                ->Snapshot()
+                .count(),
+            kRequests);
+}
+
+TEST_F(MicroBatcherTest, LoneRequestOnAnIdleBatcherShipsAlone) {
+  // No linger: a single request on an idle scorer is a batch of one that
+  // drained the queue.
+  obs::MetricsRegistry registry;
+  MicroBatcher::Options options;
+  options.metrics = &registry;
+  MicroBatcher batcher(LoadTrainer(), options);
+  Completions completions;
+  ASSERT_TRUE(batcher.TrySubmit(
+      1, 2,
+      [&completions](const Status& status,
+                     const std::vector<MicroBatcher::ScoredPair>& r) {
+        completions.Add(0, status, r);
+      }));
+  ASSERT_TRUE(completions.WaitFor(1));
+  batcher.Drain();
+  EXPECT_TRUE(completions.slot(0).status.ok());
+  const MicroBatcher::Stats stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.batch_pairs.Max(), 1);
+  EXPECT_EQ(
+      registry.GetCounter("rrre_batcher_batches_drained_total")->Value(), 1);
+  EXPECT_EQ(registry.GetCounter("rrre_batcher_batches_full_total")->Value(), 0);
 }
 
 TEST_F(MicroBatcherTest, StopDrainsAdmittedRequestsEvenWhenPaused) {
@@ -400,7 +467,6 @@ TEST_F(MicroBatcherTest, HotReloadUnderConcurrentLoadIsSafe) {
   // requests must still complete (same checkpoint -> identical scores).
   MicroBatcher::Options options;
   options.max_batch = 8;
-  options.max_delay_us = 100;
   MicroBatcher batcher(LoadTrainer(), options);
 
   constexpr int kThreads = 3;

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -543,6 +544,39 @@ TEST_F(ServedTest, MetricsDisabledAnswersExplicitError) {
   EXPECT_EQ(line.find("!ERR\tmetrics\t"), 0u) << line;
   EXPECT_EQ(client.MustReadLine().find("#stats\t"), 0u);
   EXPECT_EQ(server->RenderMetricsText(), "");
+}
+
+TEST_F(ServedTest, NonFiniteScoresAreAnsweredAsErrorsNeverAsNan) {
+  // Plant a NaN in one parameter of a saved checkpoint — the FM bias feeds
+  // every rating — and serve it. A pair request and a catalog request must
+  // each get one `!ERR nonfinite` line, never a row printing `nan`.
+  const std::string prefix = ::testing::TempDir() + "/served_ckpt_nan_" +
+                             std::to_string(::getpid());
+  {
+    core::RrreTrainer trainer(TinyConfig());
+    ASSERT_TRUE(trainer.Load(*prefix_a_).ok());
+    auto params = trainer.model().NamedParameters();
+    ASSERT_EQ(params.count("fm.w0"), 1u);
+    params.at("fm.w0").data()[0] = std::numeric_limits<float>::quiet_NaN();
+    ASSERT_TRUE(trainer.Save(prefix).ok());
+  }
+  ServerOptions options = BaseOptions();
+  options.model_prefix = prefix;
+  auto server = StartServer(options);
+  Client client(server->port());
+  client.Send("0\t1\n0\n");
+  for (int i = 0; i < 2; ++i) {
+    const std::string line = client.MustReadLine();
+    EXPECT_EQ(line.find("!ERR\tnonfinite\t"), 0u) << line;
+  }
+  const std::string text = ScrapeMetrics(client);
+  EXPECT_NE(text.find("rrre_serve_nonfinite_total 2\n"), std::string::npos)
+      << text;
+  server->Shutdown();
+  for (const char* suffix :
+       {".model", ".vocab", ".train.tsv", ".meta", ".optimizer"}) {
+    std::remove((prefix + suffix).c_str());
+  }
 }
 
 TEST_F(ServedTest, ConcurrentClientsEachGetTheirOwnResponses) {

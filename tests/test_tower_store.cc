@@ -805,7 +805,6 @@ TEST_F(TowerStoreServingTest, BatcherServesStoreBackedBitwiseIdentical) {
   auto owned = std::make_unique<core::RrreTrainer>(TinyConfig());
   ASSERT_TRUE(owned->Load(*prefix_).ok());
   serve::MicroBatcher::Options options;
-  options.max_delay_us = 0;
   options.store_path = *store_path_;
   serve::MicroBatcher batcher(std::move(owned), options, MapFixtureStore());
   ASSERT_TRUE(batcher.store_backed());
@@ -831,7 +830,6 @@ TEST_F(TowerStoreServingTest, TornStoreFailsTheReloadAndOldSnapshotServes) {
   auto owned = std::make_unique<core::RrreTrainer>(TinyConfig());
   ASSERT_TRUE(owned->Load(*prefix_).ok());
   serve::MicroBatcher::Options options;
-  options.max_delay_us = 0;
   options.store_path = local;
   auto initial = core::MapTowerStoreForCheckpoint(local, *prefix_, *trainer_);
   ASSERT_TRUE(initial.ok());
@@ -871,7 +869,6 @@ TEST_F(TowerStoreServingTest, ReloadFailpointKeepsStoreBackedSnapshot) {
   auto owned = std::make_unique<core::RrreTrainer>(TinyConfig());
   ASSERT_TRUE(owned->Load(*prefix_).ok());
   serve::MicroBatcher::Options options;
-  options.max_delay_us = 0;
   options.store_path = *store_path_;
   serve::MicroBatcher batcher(std::move(owned), options, MapFixtureStore());
 
@@ -900,7 +897,6 @@ TEST_F(TowerStoreServingTest, MmapFailpointFailsTheReloadNotTheSnapshot) {
   auto owned = std::make_unique<core::RrreTrainer>(TinyConfig());
   ASSERT_TRUE(owned->Load(*prefix_).ok());
   serve::MicroBatcher::Options options;
-  options.max_delay_us = 0;
   options.store_path = *store_path_;
   serve::MicroBatcher batcher(std::move(owned), options, MapFixtureStore());
 

@@ -154,10 +154,13 @@ else
   # injected faults directly.
   (cd build-asan && ctest --output-on-failure --no-tests=error -L router)
   # Deflake guard: the serving socket tests used to flake under parallel
-  # ctest load (shared /tmp fixture paths); rerun them five times under -j
-  # so a reintroduced race fails the leg instead of landing.
+  # ctest load (shared /tmp fixture paths), and the scorer loop ships a
+  # batch at every wake-up, so its interleavings with submitters, reloads and
+  # writers vary from run to run; rerun the server, router and batcher suites
+  # five times under -j so a reintroduced race fails the leg instead of
+  # landing.
   (cd build && ctest --output-on-failure --no-tests=error \
-    -R "ServedTest|RouterTest" --repeat until-fail:5 -j)
+    -R "ServedTest|RouterTest|MicroBatcher" --repeat until-fail:5 -j)
   LEGS_RUN+=(router)
 fi
 

@@ -3,7 +3,7 @@
 //
 //   rrre_served --model=/ckpt/m --port=7475
 //               [--store=/ckpt/m.tower_store]
-//               [--max_batch=64 --max_delay_us=1000 --queue_cap=1024]
+//               [--max_batch=64 --queue_cap=1024]
 //               [--tower_cache_cap=65536] [--read_timeout_ms=0]
 //               [--max_connections=256] [--num_threads=8]
 //               [--su=5 --si=7 --seed=42]
@@ -11,12 +11,14 @@
 // Clients speak a line protocol (see src/serve/protocol.h): "user<TAB>item"
 // scores one pair, a bare "user" scores the whole catalog, and PING / STATS
 // / METRICS / RELOAD / QUIT are control commands (METRICS returns a
-// Prometheus-style exposition; disable the registry with --metrics=false). Requests from all connections are
-// funneled into a dynamic micro-batcher (up to --max_batch pairs or
-// --max_delay_us of linger, whichever first) running on the tower-cached
-// BatchScorer over the global thread pool. The admission queue is bounded
-// (--queue_cap); an overloaded server answers "!ERR overload" immediately
-// instead of queueing unboundedly.
+// Prometheus-style exposition; disable the registry with --metrics=false).
+// Requests from all connections are funneled into a work-conserving
+// micro-batcher running on the tower-cached BatchScorer over the global
+// thread pool: whenever the scorer is free it takes what is queued, up to
+// --max_batch expanded pairs, and runs it at once — a lone request ships
+// alone, and batches grow by themselves under load. The admission queue is
+// bounded (--queue_cap); an overloaded server answers "!ERR overload"
+// immediately instead of queueing unboundedly.
 //
 // --store=PATH serves from a materialized tower store (rrre_store_build):
 // profiles are read out of the mmap'd file — zero tower work per request,
@@ -55,8 +57,6 @@ int main(int argc, char** argv) {
                   "rrre_store_build; must match the checkpoint)");
   flags.AddInt("port", 7475, "TCP port to listen on (0 = ephemeral)");
   flags.AddInt("max_batch", 64, "max expanded pairs per scoring batch");
-  flags.AddInt("max_delay_us", 1000,
-               "batching linger after the first queued request");
   flags.AddInt("queue_cap", 1024, "admission queue bound (requests)");
   flags.AddInt("tower_cache_cap", 65536,
                "LRU bound on cached tower profiles per tower (0 = unbounded)");
@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   options.store_path = flags.GetString("store");
   options.port = static_cast<uint16_t>(flags.GetInt("port"));
   options.batcher.max_batch = flags.GetInt("max_batch");
-  options.batcher.max_delay_us = flags.GetInt("max_delay_us");
   options.batcher.queue_capacity = flags.GetInt("queue_cap");
   options.batcher.tower_cache_cap = flags.GetInt("tower_cache_cap");
   options.max_connections = flags.GetInt("max_connections");
